@@ -28,18 +28,11 @@
 set -e
 cd "$(dirname "$0")/.."
 
-# When the compiled planner (repro._native) is built, run the replay
-# bench under REPRO_KERNEL=native with the per-backend comparison on:
-# the committed numbers then track the fastest supported configuration
-# and the regression smoke below compares native against native.  An
-# explicit REPRO_KERNEL in the environment wins.
-replay_kernel="${REPRO_KERNEL:-}"
-replay_flags=""
-if [ -z "$replay_kernel" ] && PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -c "import repro._native" >/dev/null 2>&1; then
-    replay_kernel="native"
-    replay_flags="--compare-backends"
-fi
+# The replay bench runs whichever planner the environment selects: the
+# compiled one (repro._native) whenever it is built, the pure-Python
+# oracle under REPRO_KERNEL=python or when the extension is absent.
+replay_backend=$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+    python -c "from repro.core.sunflow import planner_backend; print(planner_backend())")
 
 # Perf smoke: remember the committed replay wall before the bench
 # overwrites BENCH_trace_replay.json, then warn (non-fatally) if the
@@ -50,12 +43,11 @@ fi
 # 2× "improvement" that says nothing about regressions).
 baseline_wall=""
 if [ -f BENCH_trace_replay.json ]; then
-    baseline_wall=$(python - "$replay_kernel" <<'EOF'
+    baseline_wall=$(python - "$replay_backend" <<'EOF'
 import json, sys
 data = json.load(open("BENCH_trace_replay.json"))
-expected = "native" if sys.argv[1] == "native" else "python"
 committed = data.get("provenance", {}).get("planner_backend", "python")
-print(data.get("wall_s", "") if committed == expected else "")
+print(data.get("wall_s", "") if committed == sys.argv[1] else "")
 EOF
     )
 fi
@@ -66,8 +58,8 @@ if [ "$#" -gt 0 ]; then
     baseline_wall=""
 fi
 
-REPRO_KERNEL="$replay_kernel" PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python benchmarks/bench_trace_replay.py $replay_flags "$@"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+    python benchmarks/bench_trace_replay.py "$@"
 
 if [ -n "$baseline_wall" ]; then
     python - "$baseline_wall" <<'EOF'

@@ -19,7 +19,11 @@ from repro.core import (
     packet_lower_bound,
 )
 
-from repro import api, sweep
+from repro._lazy import lazy_exports
+
+# The simulation facade and the sweep engine load every simulator and
+# baseline scheduler (and numpy); they are imported on first access.
+__getattr__, __dir__ = lazy_exports(__name__, {"api": (), "sweep": ()})
 
 __version__ = "1.0.0"
 

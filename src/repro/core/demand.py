@@ -22,12 +22,27 @@ unaffected.  Any mutation the packed columns cannot mirror in place
 (adding a key, deleting one, non-integer ports) flips :attr:`packed_ok`
 off, and every consumer falls back to the sorted-items path, so
 correctness never depends on the invariant holding.
+
+Two per-event reads of the circuit replay ride on the same write hook:
+
+* :meth:`PackedDemand.bottleneck` — the SEBF ordering key, the busiest
+  port's remaining seconds.  A per-port circuit index is built once at
+  admission; each write marks its two ports dirty, and only dirty ports
+  are re-summed.  Each port sums its circuits in dict order starting
+  from ``0.0``, exactly as :attr:`repro.core.policies.CoflowView.bottleneck`
+  does over the whole dict, so every per-port load, and the max over
+  them, is bitwise the full rescan's.
+* :attr:`PackedDemand.open_circuits` — how many circuits still hold more
+  than ``TIME_EPS`` seconds, kept up to date by every write, so the
+  replay's completion check is O(1) instead of a scan per event.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
+
+from repro.core.prt import TIME_EPS
 
 __all__ = ["PackedDemand"]
 
@@ -41,7 +56,19 @@ class PackedDemand(dict):
     keys are mirrored into the value column in O(1).
     """
 
-    __slots__ = ("_srcs", "_dsts", "_vals", "_pos", "_packed_ok")
+    __slots__ = (
+        "_srcs",
+        "_dsts",
+        "_vals",
+        "_pos",
+        "_packed_ok",
+        "_values",
+        "_port_circuits",
+        "_loads",
+        "_dirty",
+        "_peak",
+        "_open",
+    )
 
     def __init__(self, items=()) -> None:
         super().__init__(items)
@@ -50,6 +77,12 @@ class PackedDemand(dict):
         self._vals = array("d")
         self._pos = {}
         self._packed_ok = False
+        self._values: List[float] = []
+        self._port_circuits: Dict[int, List[int]] = {}
+        self._loads: Dict[int, float] = {}
+        self._dirty: Set[int] = set()
+        self._peak = 0.0
+        self._open = 0
         self.repack()
 
     # ------------------------------------------------------------------
@@ -76,6 +109,7 @@ class PackedDemand(dict):
         srcs = array("q")
         dsts = array("q")
         vals = array("d")
+        values: List[float] = []
         pos = {}
         try:
             index = 0
@@ -83,7 +117,9 @@ class PackedDemand(dict):
                 src, dst = key
                 srcs.append(src)
                 dsts.append(dst)
-                vals.append(self[key])
+                value = self[key]
+                vals.append(value)
+                values.append(value)
                 pos[key] = index
                 index += 1
         except (TypeError, ValueError, OverflowError):
@@ -91,12 +127,62 @@ class PackedDemand(dict):
             # refuses): stay a plain dict.
             self._packed_ok = False
             return False
+        # Per-port circuit index (input ``p`` -> ``2p``, output ``p`` ->
+        # ``2p + 1``, as in ``CoflowView.bottleneck``), each port's value
+        # positions listed in dict order so its load sums in that order.
+        # The sums read ``_values``, a list mirror of the value column
+        # holding the dict's own value objects (reading it allocates
+        # nothing, unlike reading the ``array('d')``).
+        port_circuits: Dict[int, List[int]] = {}
+        for key in self:
+            index = pos[key]
+            src, dst = key
+            port_circuits.setdefault(src * 2, []).append(index)
+            port_circuits.setdefault(dst * 2 + 1, []).append(index)
         self._srcs = srcs
         self._dsts = dsts
         self._vals = vals
         self._pos = pos
+        self._values = values
+        self._port_circuits = port_circuits
+        self._loads = {}
+        self._dirty = set(port_circuits)
+        self._peak = 0.0
+        self._open = sum(1 for value in values if not value <= TIME_EPS)
         self._packed_ok = True
         return True
+
+    # ------------------------------------------------------------------
+    @property
+    def open_circuits(self) -> int:
+        """Circuits whose remaining time is not ``<= TIME_EPS``.
+
+        Only meaningful while :attr:`packed_ok`.
+        """
+        return self._open
+
+    def bottleneck(self) -> float:
+        """Remaining ``T^p_L``: the busiest port's remaining seconds.
+
+        Bitwise :attr:`repro.core.policies.CoflowView.bottleneck` over
+        this dict, re-summing only the ports written since the last
+        call.  Only meaningful while :attr:`packed_ok`.
+        """
+        dirty = self._dirty
+        if dirty:
+            values = self._values
+            port_circuits = self._port_circuits
+            loads = self._loads
+            for port in dirty:
+                load = 0.0
+                for index in port_circuits[port]:
+                    p = values[index]
+                    if p > 0:
+                        load += p
+                loads[port] = load
+            dirty.clear()
+            self._peak = max(loads.values())
+        return self._peak
 
     # ------------------------------------------------------------------
     # Mutators: patch the columns in place when possible, otherwise
@@ -112,6 +198,16 @@ class PackedDemand(dict):
             self._vals[index] = value
         except TypeError:
             self._packed_ok = False
+            return
+        values = self._values
+        was_open = not values[index] <= TIME_EPS
+        values[index] = value
+        now_open = not value <= TIME_EPS
+        if now_open is not was_open:
+            self._open += 1 if now_open else -1
+        dirty = self._dirty
+        dirty.add(key[0] * 2)
+        dirty.add(key[1] * 2 + 1)
 
     def __delitem__(self, key) -> None:
         dict.__delitem__(self, key)

@@ -18,6 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.demand import PackedDemand
+
 
 @dataclass
 class CoflowView:
@@ -49,6 +51,10 @@ class CoflowView:
         hint = self.bottleneck_hint
         if hint is not None:
             return hint
+        remaining = self.remaining_times
+        if isinstance(remaining, PackedDemand) and remaining.packed_ok:
+            # Same sums, re-done only on the ports written since last time.
+            return remaining.bottleneck()
         # One defaultdict over both port spaces (input ``p`` → ``2p``,
         # output ``p`` → ``2p + 1``): this property runs on every view at
         # every replan.

@@ -40,9 +40,7 @@ from array import array
 import itertools
 import math
 import operator
-import os
 import random
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -51,71 +49,33 @@ from repro.core.coflow import Coflow
 from repro.core.demand import PackedDemand
 from repro.core.plan_cache import PlanCache, PlanProbe
 from repro.core.prt import (
-    PRT_LAYOUT_VERSION,
     PortReservationTable,
     Reservation,
     TIME_EPS,
 )
+from repro.kernels import native_kernel, native_module
 from repro.units import DEFAULT_BANDWIDTH, DEFAULT_DELTA
 
-# The optional compiled planner (src/repro/_native.c): the event-driven
-# scheduling loop below, running directly against the PRT's per-port
-# boundary buffers.  Import-time detection — a missing build, or one
-# compiled against a different PRT storage layout, simply leaves the
-# pure-Python loop in charge.
-try:
-    from repro import _native
-except ImportError:  # pragma: no cover - depends on the build environment
-    _native = None
-if _native is not None and getattr(_native, "LAYOUT_VERSION", None) != PRT_LAYOUT_VERSION:
-    _native = None  # pragma: no cover - stale build artifact
-
-#: Same environment variable :mod:`repro.kernels` dispatches on; read
-#: directly (rather than through ``repro.kernels.active_backend``) so the
-#: pure-Python planner keeps working without numpy installed.
-_BACKEND_ENV = "REPRO_KERNEL"
-
 _NAN = float("nan")
-
-_warned_native_missing = False
 
 
 def native_planner_available() -> bool:
     """True when the compiled planner is importable and layout-compatible."""
-    return _native is not None
+    return native_module() is not None
 
 
 def planner_backend() -> str:
     """Which ``schedule_demand`` implementation the current environment
     selects: ``"native"`` (compiled kernel) or ``"python"``.
 
-    ``REPRO_KERNEL=native`` requests the compiled kernel; when the
-    extension is not built (or was built against a different PRT layout)
-    the answer is ``"python"`` — the fallback is transparent apart from a
-    one-time :class:`RuntimeWarning`.
+    The compiled kernel runs by default whenever the extension is built
+    and layout-compatible; ``REPRO_KERNEL=python`` selects the
+    pure-Python loop.  Without the extension the answer is ``"python"``
+    — silently when ``REPRO_KERNEL`` is unset, with a one-time
+    :class:`RuntimeWarning` under an explicit ``REPRO_KERNEL=native``
+    (see :func:`repro.kernels.native_kernel`).
     """
-    return "native" if _use_native() else "python"
-
-
-def _use_native() -> bool:
-    # Same normalization as ``repro.kernels.active_backend``; unknown
-    # values are *that* function's job to reject.
-    if os.environ.get(_BACKEND_ENV, "").strip().lower() != "native":
-        return False
-    if _native is None:
-        global _warned_native_missing
-        if not _warned_native_missing:
-            _warned_native_missing = True
-            warnings.warn(
-                "REPRO_KERNEL=native requested but the repro._native "
-                "extension is not available; using the pure-Python planner "
-                "(build it with `python setup.py build_ext --inplace` or by "
-                "installing the package with a C compiler present)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return False
-    return True
+    return "native" if native_kernel() is not None else "python"
 
 
 def _pack_entries(
@@ -519,7 +479,8 @@ class SunflowScheduler:
 
         schedule = CoflowSchedule(coflow_id=coflow_id, start_time=start_time)
         perf = self.perf
-        if _use_native():
+        native = native_kernel()
+        if native is not None:
             # Compiled twin of ``_plan_python``: the same event loop with
             # verbatim float expressions, mutating the same PRT arrays in
             # place through the buffer protocol.
@@ -538,7 +499,7 @@ class SunflowScheduler:
                 # packing on the Python side.
                 srcs, dsts, vals = demand_times.columns
                 t0 = perf_counter()
-                kept = _native.schedule_demand_packed(
+                kept = native.schedule_demand_packed(
                     prt,
                     Reservation,
                     coflow_id,
@@ -571,7 +532,7 @@ class SunflowScheduler:
                 if not packed:
                     return schedule
                 t0 = perf_counter()
-                _native.schedule_demand(
+                native.schedule_demand(
                     prt,
                     Reservation,
                     coflow_id,
@@ -618,10 +579,9 @@ class SunflowScheduler:
         """The event-driven scheduling loop (pure-Python backend).
 
         Fills ``prt`` and appends to ``reservations`` in place.  The
-        compiled kernel (:mod:`repro._native`, selected by
-        ``REPRO_KERNEL=native``) is this loop's bit-identical twin — any
-        behavioral change here must be mirrored there, and the
-        differential suites in ``tests/kernels/test_native_planner.py``
+        compiled kernel (:mod:`repro._native`, the default whenever it is
+        built) is this loop's bit-identical twin — any behavioral change
+        here must be mirrored there, and the differential suites in ``tests/kernels/test_native_planner.py``
         compare the two reservation-for-reservation.
         """
         outstanding = len(entries)

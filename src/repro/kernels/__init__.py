@@ -1,66 +1,86 @@
-"""Vectorized demand-matrix kernels for the baseline schedulers.
+"""Backend selection, and the vectorized kernels behind the baselines.
 
-The assignment-based baselines the paper sweeps Sunflow against (Solstice,
-TMS, Edmond — see :mod:`repro.schedulers`) all reduce to dense linear
-algebra over an ``n × n`` demand matrix: line sums and stuffing, repeated
-bipartite matchings, Hungarian assignments, and Birkhoff–von-Neumann
-decompositions.  This package is the numpy-backed implementation of that
-substrate; demand matrices flow through it as contiguous ``float64``
-ndarrays, canonicalized once at the boundary by :func:`as_demand_matrix`.
+**One backend switch.**  ``REPRO_KERNEL`` picks the implementation of
+every layer that has two:
 
-**Backend contract.**  Every kernel has a pure-Python twin retained in the
-``repro.matching.*_reference`` modules (the implementations that shipped
-before this layer, kept verbatim as behavioural oracles — the
-``ReferencePortReservationTable`` pattern).  The kernels follow the
-reference algorithms step for step, including iteration order and
-tie-breaking, so both sides emit *identical* assignments; differential
-tests in ``tests/kernels/`` enforce this on random sparse, skewed, and
-doubly-stochastic matrices.  The only tolerated divergence is last-ulp
-float drift where numpy's pairwise summation replaces Python's sequential
-``sum`` (Sinkhorn line sums), which the schedulers absorb well inside
-their ``1e-9`` duration tolerance.
+* unset (or ``numpy``, its historical name) — the fastest path that is
+  available: the compiled Sunflow planner and PRT transactions
+  (:mod:`repro._native`) when the extension is built and matches the
+  PRT layout, the pure-Python loops otherwise (silently), and the numpy
+  kernels below for the baseline schedulers and the packet simulator;
+* ``python`` — every pure-Python twin.  These are the differential
+  oracles the fast paths are tested against bit for bit, and a
+  numpy-free escape hatch;
+* ``native`` — the same as unset, but asking for the compiled planner
+  explicitly: when the extension is missing the pure-Python loops run
+  and one :class:`RuntimeWarning` per process says so.
 
-**Runtime selection.**  ``REPRO_KERNEL=python`` in the environment routes
-the scheduler pipeline through the pure-Python references instead —
-useful for differential debugging and as a numpy-free escape hatch.  The
-default (``REPRO_KERNEL`` unset or ``numpy``) uses the kernels.
+:func:`native_kernel` is the gate every planner and PRT transaction call
+site asks; :func:`active_backend` and :func:`numpy_enabled` serve the
+scheduler and packet kernels.  The backend is read from the environment
+per call, so tests and sweeps can flip it without reimporting anything.
+This module imports neither numpy nor the extension on its own, so the
+circuit replay that only needs the gate stays lean.
+
+**Demand-matrix kernels.**  The assignment-based baselines the paper
+sweeps Sunflow against (Solstice, TMS, Edmond — see
+:mod:`repro.schedulers`) all reduce to dense linear algebra over an
+``n × n`` demand matrix: line sums and stuffing, repeated bipartite
+matchings, Hungarian assignments, and Birkhoff–von-Neumann
+decompositions.  The submodules here are the numpy-backed implementation
+of that substrate (loaded on first use); demand matrices flow through it
+as contiguous ``float64`` ndarrays, canonicalized once at the boundary
+by :func:`as_demand_matrix`.  Every kernel has a pure-Python twin in the
+``repro.matching.*_reference`` modules; the kernels follow the reference
+algorithms step for step, including iteration order and tie-breaking, so
+both sides emit *identical* assignments (``tests/kernels/`` enforces
+this).  The only tolerated divergence is last-ulp float drift where
+numpy's pairwise summation replaces Python's sequential ``sum`` (Sinkhorn
+line sums), which the schedulers absorb well inside their ``1e-9``
+duration tolerance.
 
 **Packet-simulator kernels.**  :mod:`repro.kernels.allocation` extends
 the layer to the fluid packet simulator: struct-of-arrays flow state
 (``FlowArrays``) with vectorized Varys MADD, Aalo D-CLAS, completion
 search, and drain passes, dispatched by
-:func:`repro.sim.packet_sim.simulate_packet` on the same backend switch.
-Unlike the scheduler kernels these promise *strictly* bitwise-identical
-event sequences and CCT records against the dict-based reference engine
-— no tolerated drift.
+:func:`repro.sim.packet_sim.simulate_packet` on the same switch.  Unlike
+the scheduler kernels these promise *strictly* bitwise-identical event
+sequences and CCT records against the dict-based reference engine.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Iterator, Optional
 
-import numpy as np
+from repro._lazy import lazy_exports
 
-#: Environment variable selecting the kernel backend at runtime.
+#: Environment variable selecting the backend at runtime.
 BACKEND_ENV = "REPRO_KERNEL"
 
-#: Recognized backend names.  ``native`` selects the compiled Sunflow
-#: planner (:mod:`repro._native`) for ``schedule_demand`` and behaves like
-#: ``numpy`` everywhere else; when the extension is not built the planner
-#: falls back to pure Python with a one-time warning (see
-#: :func:`repro.core.sunflow.planner_backend`).
+#: Recognized backend names (see the module docstring).  ``numpy`` is
+#: what :func:`active_backend` reports when the variable is unset.
 BACKENDS = ("numpy", "python", "native")
+
+_UNRESOLVED = object()
+
+#: ``repro._native`` once resolved: the module, or None when it is not
+#: built (or was built against another PRT layout).  Resolved on first
+#: use, because the layout version lives in :mod:`repro.core.prt`, which
+#: itself asks this gate.
+_native: Any = _UNRESOLVED
+
+_warned_native_missing = False
 
 
 def active_backend() -> str:
-    """The backend the scheduler pipeline dispatches to right now.
+    """The backend named by ``REPRO_KERNEL`` right now.
 
-    Reads ``REPRO_KERNEL`` on every call (it is consulted once per
-    ``schedule()`` call, not in inner loops), so tests and sweeps can flip
-    the backend without reimporting anything — worker processes inherit
-    the variable through the environment.
+    Reads the environment on every call (it is consulted once per
+    ``schedule()`` or planner call, not in inner loops), so worker
+    processes inherit it and tests can flip it in place.
 
     Raises:
         ValueError: if ``REPRO_KERNEL`` names an unknown backend.
@@ -77,18 +97,70 @@ def active_backend() -> str:
 
 
 def numpy_enabled() -> bool:
-    """True when the numpy kernel layer is active.
-
-    The ``native`` backend only swaps the Sunflow planner loop; the
-    scheduler/packet kernels keep their numpy implementations, so every
-    backend except ``python`` enables them.
-    """
+    """True when the numpy scheduler and packet kernels are active
+    (every backend except ``python``)."""
     return active_backend() != "python"
+
+
+def native_module():
+    """``repro._native`` when it is built and layout-compatible, else None.
+
+    Whether the extension *exists*, regardless of the backend selected;
+    :func:`native_kernel` is the gate that also honours ``REPRO_KERNEL``.
+    """
+    global _native
+    if _native is _UNRESOLVED:
+        from repro.core.prt import PRT_LAYOUT_VERSION
+
+        try:
+            from repro import _native as module
+        except ImportError:  # pragma: no cover - depends on the build
+            module = None
+        if module is not None and (
+            getattr(module, "LAYOUT_VERSION", None) != PRT_LAYOUT_VERSION
+            or not hasattr(module, "transform_continuation")
+        ):
+            module = None  # pragma: no cover - stale build artifact
+        _native = module
+    return _native
+
+
+def native_kernel() -> Optional[Any]:
+    """The compiled kernel module when the selected backend runs it, else
+    None: the one gate the planner, the PRT transactions and the
+    continuation transform consult per call.
+
+    Unset (or ``numpy``) uses the extension when it is built and falls
+    back silently; ``python`` never uses it; an explicit ``native``
+    without the extension falls back with a one-time
+    :class:`RuntimeWarning`.
+    """
+    backend = active_backend()
+    if backend == "python":
+        return None
+    native = _native
+    if native is _UNRESOLVED:
+        native = native_module()
+    if native is None and backend == "native":
+        global _warned_native_missing
+        if not _warned_native_missing:
+            _warned_native_missing = True
+            warnings.warn(
+                "REPRO_KERNEL=native requested but the repro._native "
+                "extension is not available; using the pure-Python planner "
+                "and the pure-Python PRT transaction paths (build it with "
+                "`python setup.py "
+                "build_ext --inplace` or by installing the package with a "
+                "C compiler present)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return native
 
 
 @contextmanager
 def use_backend(name: str) -> Iterator[None]:
-    """Temporarily pin the kernel backend (tests and benchmarks)."""
+    """Temporarily pin the backend (tests and benchmarks)."""
     if name not in BACKENDS:
         raise ValueError(f"unknown kernel backend {name!r}; expected one of {BACKENDS}")
     previous = os.environ.get(BACKEND_ENV)
@@ -102,59 +174,33 @@ def use_backend(name: str) -> Iterator[None]:
             os.environ[BACKEND_ENV] = previous
 
 
-def as_demand_matrix(matrix) -> np.ndarray:
-    """Canonicalize a demand matrix to a square, contiguous ``float64`` array.
-
-    The single dtype boundary of the kernel layer: nested lists, tuples,
-    and ndarrays of any float/int dtype all land on the same canonical
-    form, and an already-canonical array passes through *without copying*
-    (callers that mutate must copy explicitly, exactly as with the
-    reference helpers that return fresh lists).
-
-    Raises:
-        ValueError: if the matrix is not square or has negative entries
-            (matching the reference helpers' messages).
-    """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        if a.ndim == 1 and a.size == 0:
-            # [] densifies to shape (0,) — treat as the empty 0×0 matrix.
-            return np.zeros((0, 0), dtype=np.float64)
-        raise ValueError("demand matrix must be square")
-    if a.size and float(a.min()) < 0:
-        raise ValueError("demand must be non-negative")
-    return np.ascontiguousarray(a)
-
-
-from repro.kernels.assignment import (  # noqa: E402
-    max_weight_assignment,
-    max_weight_matching,
-    min_cost_assignment,
-)
-from repro.kernels.decomposition import birkhoff_von_neumann  # noqa: E402
-from repro.kernels.matching import SupportMatcher, matching_from_matrix  # noqa: E402
-from repro.kernels.matrix import (  # noqa: E402
-    has_equal_line_sums,
-    line_sums,
-    quick_stuff,
-    sinkhorn_scale,
-)
+#: Numpy-backed names re-exported from the submodules, loaded on first
+#: access so importing the gate never imports numpy.
+_EXPORTS = {
+    "matrix": (
+        "as_demand_matrix",
+        "line_sums",
+        "has_equal_line_sums",
+        "quick_stuff",
+        "sinkhorn_scale",
+    ),
+    "matching": ("matching_from_matrix", "SupportMatcher"),
+    "assignment": (
+        "min_cost_assignment",
+        "max_weight_assignment",
+        "max_weight_matching",
+    ),
+    "decomposition": ("birkhoff_von_neumann",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
     "active_backend",
     "numpy_enabled",
+    "native_module",
+    "native_kernel",
     "use_backend",
-    "as_demand_matrix",
-    "line_sums",
-    "has_equal_line_sums",
-    "quick_stuff",
-    "sinkhorn_scale",
-    "matching_from_matrix",
-    "SupportMatcher",
-    "min_cost_assignment",
-    "max_weight_assignment",
-    "max_weight_matching",
-    "birkhoff_von_neumann",
+    *(name for names in _EXPORTS.values() for name in names),
 ]

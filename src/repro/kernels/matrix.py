@@ -22,7 +22,29 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels import as_demand_matrix
+
+def as_demand_matrix(matrix) -> np.ndarray:
+    """Canonicalize a demand matrix to a square, contiguous ``float64`` array.
+
+    The single dtype boundary of the kernel layer: nested lists, tuples,
+    and ndarrays of any float/int dtype all land on the same canonical
+    form, and an already-canonical array passes through *without copying*
+    (callers that mutate must copy explicitly, exactly as with the
+    reference helpers that return fresh lists).
+
+    Raises:
+        ValueError: if the matrix is not square or has negative entries
+            (matching the reference helpers' messages).
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim == 1 and a.size == 0:
+            # [] densifies to shape (0,) — treat as the empty 0×0 matrix.
+            return np.zeros((0, 0), dtype=np.float64)
+        raise ValueError("demand matrix must be square")
+    if a.size and float(a.min()) < 0:
+        raise ValueError("demand must be non-negative")
+    return np.ascontiguousarray(a)
 
 
 def sequential_line_sums(a: np.ndarray) -> Tuple[List[float], List[float]]:

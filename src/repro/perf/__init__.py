@@ -83,8 +83,11 @@ def bench_provenance() -> Dict[str, Any]:
             The active kernel backend (``REPRO_KERNEL`` resolved through
             :func:`repro.kernels.active_backend`; the raw value if unknown).
         ``planner_backend``
-            Which ``schedule_demand`` loop actually runs — ``"native"``
-            only when ``REPRO_KERNEL=native`` *and* the extension is built.
+            Which ``schedule_demand`` loop (and PRT transaction path)
+            actually runs — ``"native"`` whenever the extension is built
+            and ``REPRO_KERNEL`` is not ``python``; ``"python"`` otherwise
+            (also for an unknown ``REPRO_KERNEL``, which the planner
+            itself rejects).
         ``native_extension_available``
             Whether :mod:`repro._native` imported (independent of whether
             it is selected).
@@ -95,22 +98,23 @@ def bench_provenance() -> Dict[str, Any]:
             platform cannot report it) — so every committed bench payload
             records memory alongside wall time.
     """
-    # Imported lazily so ``repro.perf`` stays importable without numpy
-    # (repro.kernels imports it eagerly) or the simulation stack.
+    # Imported lazily so importing ``repro.perf`` stays free of the
+    # simulation stack.
     import os
     import platform as platform_mod
 
     from repro.core.sunflow import native_planner_available, planner_backend
+    from repro.kernels import active_backend
 
     try:
-        from repro.kernels import active_backend
-
         backend = active_backend()
-    except (ImportError, ValueError):
-        backend = os.environ.get("REPRO_KERNEL", "").strip().lower() or "numpy"
+        planner = planner_backend()
+    except ValueError:
+        backend = os.environ.get("REPRO_KERNEL", "").strip().lower()
+        planner = "python"
     return {
         "repro_kernel": backend,
-        "planner_backend": planner_backend(),
+        "planner_backend": planner,
         "native_extension_available": native_planner_available(),
         "cpu_count": os.cpu_count(),
         "python_version": platform_mod.python_version(),

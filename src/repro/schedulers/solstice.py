@@ -29,6 +29,7 @@ from typing import List, Mapping
 
 import numpy as np
 
+from repro.core.prt import TIME_EPS
 from repro.kernels import numpy_enabled
 from repro.kernels.decomposition import birkhoff_von_neumann as _bvn_kernel
 from repro.kernels.matching import matching_from_matrix as _matching_kernel
@@ -42,8 +43,21 @@ from repro.schedulers.base import (
     compact_demand,
 )
 
-#: Entries below this fraction of the largest entry are treated as drained.
+#: Entries below this fraction of the largest entry are treated as drained
+#: (see :func:`_drained_cutoff`).
 _ZERO_FRACTION = 1e-9
+
+
+def _drained_cutoff(peak: float) -> float:
+    """The level at or below which a stuffed entry counts as drained.
+
+    Relative to the peak, to absorb the subtraction crumbs a halving
+    cascade leaves, but never above the executor's ``TIME_EPS``: the
+    executor finishes a circuit only once it has served all but
+    ``TIME_EPS`` of it, so a larger cutoff would leave real demand
+    unscheduled on every coflow whose largest entry passes one second.
+    """
+    return min(peak * _ZERO_FRACTION, TIME_EPS)
 
 
 class SolsticeScheduler(AssignmentScheduler):
@@ -110,7 +124,7 @@ def _big_slice_kernel(stuffed: np.ndarray, tail_fraction: float) -> List[Assignm
     peak = float(work.max()) if work.size else 0.0
     if peak <= 0:
         return []
-    zero = peak * _ZERO_FRACTION
+    zero = _drained_cutoff(peak)
     tail_threshold = peak * tail_fraction
     threshold = _initial_threshold(peak)
 
@@ -164,7 +178,7 @@ def _big_slice_reference(
     peak = max((value for row in work for value in row), default=0.0)
     if peak <= 0:
         return []
-    zero = peak * _ZERO_FRACTION
+    zero = _drained_cutoff(peak)
     tail_threshold = peak * tail_fraction
     threshold = _initial_threshold(peak)
 

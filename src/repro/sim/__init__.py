@@ -1,48 +1,45 @@
 """Flow-level discrete-event simulators for circuit and packet networks."""
 
-from repro.sim.aalo import AaloAllocator
-from repro.sim.assignment_exec import ExecutionResult, SwitchModel, execute_assignments
-from repro.sim.circuit_sim import (
-    InterCoflowSimulator,
-    simulate_inter_sunflow,
-    simulate_intra_assignment,
-    simulate_intra_sunflow,
+from repro._lazy import lazy_exports
+
+# Submodules load on first access to one of their names (PEP 562), so
+# importing one piece does not import numpy or the baseline schedulers.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "aalo": ("AaloAllocator",),
+        "assignment_exec": (
+            "ExecutionResult", "SwitchModel", "execute_assignments",
+        ),
+        "circuit_sim": (
+            "InterCoflowSimulator", "simulate_inter_sunflow",
+            "simulate_intra_assignment", "simulate_intra_sunflow",
+        ),
+        "engine": ("Event", "EventQueue"),
+        "hybrid": (
+            "HybridConfig", "simulate_inter_hybrid", "simulate_intra_hybrid",
+            "split_coflow", "split_trace",
+        ),
+        "multicore_sim": (
+            "MultiCoreInterSimulator", "simulate_inter_multicore",
+            "simulate_intra_multicore",
+        ),
+        "packet_sim": (
+            "PacketCoflowState", "PacketSimulator", "RateAllocator",
+            "ReferencePacketSimulator", "simulate_packet",
+        ),
+        "packet_vector": ("VectorPacketSimulator", "vector_capable"),
+        "results": (
+            "CoflowRecord", "SimulationReport", "make_record", "mean",
+            "percentile", "summarize",
+        ),
+        "streaming": (
+            "StreamingReport", "StreamingResult",
+            "simulate_inter_sunflow_stream",
+        ),
+        "varys": ("VarysAllocator",),
+    },
 )
-from repro.sim.engine import Event, EventQueue
-from repro.sim.hybrid import (
-    HybridConfig,
-    simulate_inter_hybrid,
-    simulate_intra_hybrid,
-    split_coflow,
-    split_trace,
-)
-from repro.sim.multicore_sim import (
-    MultiCoreInterSimulator,
-    simulate_inter_multicore,
-    simulate_intra_multicore,
-)
-from repro.sim.packet_sim import (
-    PacketCoflowState,
-    PacketSimulator,
-    RateAllocator,
-    ReferencePacketSimulator,
-    simulate_packet,
-)
-from repro.sim.packet_vector import VectorPacketSimulator, vector_capable
-from repro.sim.results import (
-    CoflowRecord,
-    SimulationReport,
-    make_record,
-    mean,
-    percentile,
-    summarize,
-)
-from repro.sim.streaming import (
-    StreamingReport,
-    StreamingResult,
-    simulate_inter_sunflow_stream,
-)
-from repro.sim.varys import VarysAllocator
 
 __all__ = [
     "AaloAllocator",

@@ -28,13 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.demand import PackedDemand
 from repro.core.policies import CoflowView, Policy, ShortestFirst
 from repro.core.plan_cache import PlanCache
-from repro.core import prt as prt_mod
 from repro.core.prt import (
     PortConflictError,
     PortReservationTable,
@@ -44,12 +43,15 @@ from repro.core.prt import (
 from repro.core.starvation import StarvationGuard
 from repro.core.sunflow import CoflowSchedule, ReservationOrder, SunflowScheduler
 from repro.compat import legacy_entry_point
+from repro.kernels import native_kernel
 from repro.perf import PerfCounters
-from repro.schedulers.base import AssignmentScheduler
-from repro.sim.assignment_exec import SwitchModel, execute_assignments
 from repro.sim.engine import IndexedEventQueue, run_replay
 from repro.sim.results import SimulationReport, make_record
 from repro.units import DEFAULT_BANDWIDTH, DEFAULT_DELTA
+
+if TYPE_CHECKING:  # the baselines load numpy; only intra mode needs them
+    from repro.schedulers.base import AssignmentScheduler
+    from repro.sim.assignment_exec import SwitchModel
 
 Circuit = Tuple[int, int]
 
@@ -88,9 +90,16 @@ def simulate_intra_assignment(
     scheduler: AssignmentScheduler,
     bandwidth_bps: float = DEFAULT_BANDWIDTH,
     delta: float = DEFAULT_DELTA,
-    model: SwitchModel = SwitchModel.NOT_ALL_STOP,
+    model: Optional[SwitchModel] = None,
 ) -> SimulationReport:
-    """Back-to-back service by an assignment-based baseline (Solstice/TMS/Edmond)."""
+    """Back-to-back service by an assignment-based baseline (Solstice/TMS/Edmond).
+
+    ``model`` defaults to the not-all-stop switch.
+    """
+    from repro.sim.assignment_exec import SwitchModel, execute_assignments
+
+    if model is None:
+        model = SwitchModel.NOT_ALL_STOP
     report = SimulationReport(scheduler.name, bandwidth_bps, delta)
     for coflow in trace:
         demand = coflow.processing_times(bandwidth_bps)
@@ -141,7 +150,10 @@ class _ActiveCoflow:
 
     @property
     def done(self) -> bool:
-        return all(p <= TIME_EPS for p in self.remaining.values())
+        remaining = self.remaining
+        if isinstance(remaining, PackedDemand) and remaining.packed_ok:
+            return not remaining.open_circuits
+        return all(p <= TIME_EPS for p in remaining.values())
 
 
 @dataclass(slots=True)
@@ -782,14 +794,15 @@ class InterCoflowSimulator:
         cutoff = plan.index_at_or_after(now)
         cid = plan.coflow_id
 
-        if prt_mod._use_native():
+        native = native_kernel()
+        if native is not None:
             # One C call runs the whole proof (heads, blocked-at-now walk,
             # coverage) against the PRT's array buffers.  It returns the
             # rebuilt heads on success, ``None`` when a proof obligation
             # fails, and ``False`` when it declines (ports outside int64
             # hashing range, foreign reservation types) — only then does
             # the pure-Python twin below run.
-            result = prt_mod._native.transform_continuation(
+            result = native.transform_continuation(
                 prt,
                 Reservation,
                 cid,

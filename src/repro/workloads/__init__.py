@@ -2,47 +2,37 @@
 synthetic generator, a binary streaming trace format, and the
 evaluation's trace transforms."""
 
-from repro.workloads.facebook import (
-    TraceFormatError,
-    TraceReader,
-    iter_trace,
-    parse_trace,
-    write_trace,
-)
-from repro.workloads.patterns import (
-    broadcast,
-    hotspot,
-    incast,
-    one_to_one,
-    permutation,
-    shuffle,
-)
-from repro.workloads.synthetic import (
-    CategoryMix,
-    FacebookLikeTraceGenerator,
-    GeneratorConfig,
-    paper_trace,
-)
-from repro.workloads.stream import (
-    ArrivalStream,
-    StreamTraceError,
-    StreamTraceReader,
-    StreamTraceWriter,
-    convert_text_trace,
-    is_stream_trace,
-    iter_chunks,
-    open_any_trace,
-    open_stream_trace,
-    read_stream_trace,
-    stream_facebook,
-    stream_synthetic,
-    write_stream_trace,
-)
-from repro.workloads.transforms import (
-    perturb_sizes,
-    perturb_sizes_iter,
-    scale_bytes,
-    scale_to_idleness,
+from repro._lazy import lazy_exports
+
+# Submodules load on first access to one of their names (PEP 562), so
+# importing one piece does not import numpy or the baseline schedulers.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "facebook": (
+            "TraceFormatError", "TraceReader", "iter_trace", "parse_trace",
+            "write_trace",
+        ),
+        "patterns": (
+            "broadcast", "hotspot", "incast", "one_to_one", "permutation",
+            "shuffle",
+        ),
+        "synthetic": (
+            "CategoryMix", "FacebookLikeTraceGenerator", "GeneratorConfig",
+            "paper_trace",
+        ),
+        "stream": (
+            "ArrivalStream", "StreamTraceError", "StreamTraceReader",
+            "StreamTraceWriter", "convert_text_trace", "is_stream_trace",
+            "iter_chunks", "open_any_trace", "open_stream_trace",
+            "read_stream_trace", "stream_facebook", "stream_synthetic",
+            "write_stream_trace",
+        ),
+        "transforms": (
+            "perturb_sizes", "perturb_sizes_iter", "scale_bytes",
+            "scale_to_idleness",
+        ),
+    },
 )
 
 __all__ = [

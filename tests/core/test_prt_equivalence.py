@@ -20,13 +20,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.prt as prt_mod
+import repro.kernels as kernels_mod
 from repro.core.prt import PortConflictError, PortReservationTable
 from repro.core.prt_reference import ReferencePortReservationTable
 
-#: The extension module as imported (possibly ``None``); the churn fuzz
-#: swaps ``prt_mod._native`` between this and ``None`` mid-run to model
-#: a layout-version gate flipping the kernel off.
-_REAL_NATIVE = prt_mod._native
+#: The extension module as resolved (possibly ``None``); the churn fuzz
+#: swaps the backend gate's ``kernels_mod._native`` between this and
+#: ``None`` mid-run to model a layout-version gate flipping the kernel off.
+_REAL_NATIVE = kernels_mod.native_module()
 
 
 def res_key(reservation):
@@ -267,14 +268,14 @@ class TestTransactionFuzz:
     @given(ops=st.lists(_TXN_OP, min_size=15, max_size=90))
     def test_batched_transactions_with_compaction(self, mode, ops):
         saved_env = os.environ.get("REPRO_KERNEL")
-        saved_warned = prt_mod._warned_native_missing
-        prt_mod._warned_native_missing = True  # churn mutes the gate warning
+        saved_warned = kernels_mod._warned_native_missing
+        kernels_mod._warned_native_missing = True  # churn mutes the gate warning
         os.environ["REPRO_KERNEL"] = "python" if mode == "churn" else mode
         try:
             self._run(mode, ops)
         finally:
-            prt_mod._native = _REAL_NATIVE
-            prt_mod._warned_native_missing = saved_warned
+            kernels_mod._native = _REAL_NATIVE
+            kernels_mod._warned_native_missing = saved_warned
             if saved_env is None:
                 os.environ.pop("REPRO_KERNEL", None)
             else:
@@ -341,7 +342,7 @@ class TestTransactionFuzz:
                 env, kernel_on = _CHURN_STATES[churn % len(_CHURN_STATES)]
                 churn += 1
                 os.environ["REPRO_KERNEL"] = env
-                prt_mod._native = _REAL_NATIVE if kernel_on else None
+                kernels_mod._native = _REAL_NATIVE if kernel_on else None
             if step % 30 == 29:
                 rng = random.Random(step)
                 assert_same_state(fast, ref, rng, num_ports=6, horizon=9.5)
@@ -354,8 +355,8 @@ class TestTransactionFallback:
     def test_missing_kernel_falls_back_with_one_warning(self, monkeypatch):
         """``REPRO_KERNEL=native`` without the extension: rollback and
         batched replay run the Python twins, warning exactly once."""
-        monkeypatch.setattr(prt_mod, "_native", None)
-        monkeypatch.setattr(prt_mod, "_warned_native_missing", False)
+        monkeypatch.setattr(kernels_mod, "_native", None)
+        monkeypatch.setattr(kernels_mod, "_warned_native_missing", False)
         monkeypatch.setenv("REPRO_KERNEL", "native")
         assert not prt_mod.native_transactions_available()
 

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.sunflow as sunflow_mod
+import repro.kernels as kernels_mod
 from repro.core.prt import PortReservationTable
 from repro.core.sunflow import (
     ReservationOrder,
@@ -259,8 +259,8 @@ class TestFallback:
             expected_prt = PortReservationTable()
             expected = SunflowScheduler().schedule_demand(expected_prt, 7, demand)
 
-        monkeypatch.setattr(sunflow_mod, "_native", None)
-        monkeypatch.setattr(sunflow_mod, "_warned_native_missing", False)
+        monkeypatch.setattr(kernels_mod, "_native", None)
+        monkeypatch.setattr(kernels_mod, "_warned_native_missing", False)
         monkeypatch.setenv("REPRO_KERNEL", "native")
         assert not native_planner_available()
         with warnings.catch_warnings(record=True) as caught:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import use_backend
 from repro.schedulers.solstice import SolsticeScheduler
+from repro.sim.assignment_exec import execute_assignments
 
 
 @st.composite
@@ -73,6 +75,35 @@ class TestCoverage:
             destinations = [dst for _, dst in assignment.circuits]
             assert len(set(sources)) == len(sources)
             assert len(set(destinations)) == len(destinations)
+
+
+class TestTinyEntriesUnderLargePeak:
+    """Regression: the drained cutoff used to scale with the peak alone,
+    so with a 100 s entry anything under 1e-7 s — still far above the
+    executor's ``TIME_EPS`` — was zeroed and never scheduled."""
+
+    # Line sums already equal apart from the tiny entries, so stuffing
+    # pads nothing onto them.
+    DEMAND = {(0, 0): 100.0, (1, 1): 100.0, (2, 2): 100.0, (0, 1): 5e-8, (1, 2): 5e-8}
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_small_entry_executed_to_completion(self, backend):
+        with use_backend(backend):
+            schedule = SolsticeScheduler().schedule(self.DEMAND, 3)
+        assert schedule.covers(self.DEMAND)
+        execution = execute_assignments(schedule, self.DEMAND, delta=0.01)
+        assert execution.finished
+        assert set(execution.finish_times) == set(self.DEMAND)
+
+    def test_backends_emit_identical_schedules(self):
+        emitted = []
+        for backend in ("numpy", "python"):
+            with use_backend(backend):
+                schedule = SolsticeScheduler().schedule(self.DEMAND, 3)
+            emitted.append(
+                [(a.circuits, a.duration.hex()) for a in schedule.assignments]
+            )
+        assert emitted[0] == emitted[1]
 
 
 class TestPreemptiveBehaviour:
